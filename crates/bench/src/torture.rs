@@ -24,6 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use std::time::Duration;
@@ -51,7 +52,7 @@ pub struct TortureConfig {
     /// Transactions attempted against the source per cycle.
     pub txns: u64,
     /// Apply workers for the staged sync scheduler (0 = available
-    /// parallelism, 1 = the historical serial loop).
+    /// parallelism, 1 = a pool of one).
     pub sync_workers: usize,
     /// Anti-entropy mode: each cycle additionally injects silent warehouse
     /// divergence (flipped rows, lost rows, phantoms, poison batches,
@@ -623,11 +624,7 @@ impl Driver {
                 .map_err(|e| self.fail(cycle, format!("pipeline open: {e}")))?
                 .with_batch_size(3)
                 .with_net_faults(NetFaultPlan::lossy(net_seed))
-                .with_sync_workers(if self.cfg.pressure {
-                    self.cfg.sync_workers.max(2)
-                } else {
-                    self.cfg.sync_workers
-                });
+                .with_sync_workers(self.cfg.sync_workers);
             if self.cfg.pressure {
                 // Pressure mode: a shrinking spool budget forces the ship
                 // ladder (compact → coalesce → defer), a stage deadline arms
@@ -754,13 +751,18 @@ impl Driver {
     }
 }
 
+/// Runs started by this process; part of each run's scratch-dir name, so
+/// concurrent runs with the same seed never share (and delete) a tree.
+static RUNS: AtomicU64 = AtomicU64::new(0);
+
 /// Run `cfg.cycles` seeded crash–recover–resync cycles. `Ok` carries the
 /// survival counters; `Err` carries a reproduction message with the seed.
 pub fn run(cfg: &TortureConfig) -> Result<TortureStats, String> {
     let root = std::env::temp_dir().join(format!(
-        "deltaforge-torture-{}-{:x}",
+        "deltaforge-torture-{}-{:x}-{}",
         std::process::id(),
-        cfg.seed
+        cfg.seed,
+        RUNS.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).map_err(|e| format!("scratch dir: {e}"))?;

@@ -87,11 +87,6 @@ pub struct DbOptions {
     /// Rows per CRC-framed block in columnar snapshot files and delta
     /// batches.
     pub codec_block_rows: usize,
-    /// Apply workers for the warehouse-side parallel sync scheduler:
-    /// value-delta groups for different table partitions apply concurrently
-    /// on up to this many threads. `0` picks the machine's available
-    /// parallelism; `1` reproduces the serial apply loop exactly.
-    pub sync_workers: usize,
 }
 
 impl DbOptions {
@@ -114,7 +109,6 @@ impl DbOptions {
             recover_on_open: true,
             delta_codec: DeltaCodec::default(),
             codec_block_rows: delta_storage::colbatch::DEFAULT_BLOCK_ROWS,
-            sync_workers: 0,
         }
     }
 
@@ -170,12 +164,6 @@ impl DbOptions {
     /// Builder-style columnar block size (rows per CRC-framed block).
     pub fn codec_block_rows(mut self, rows: usize) -> DbOptions {
         self.codec_block_rows = rows.max(1);
-        self
-    }
-
-    /// Builder-style warehouse sync worker count (`0` = auto).
-    pub fn sync_workers(mut self, workers: usize) -> DbOptions {
-        self.sync_workers = workers;
         self
     }
 }

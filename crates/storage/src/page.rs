@@ -256,9 +256,16 @@ impl SlottedPage {
         self.iter().count()
     }
 
-    /// Squeeze out dead-record space. Slot numbers are preserved.
+    /// Squeeze out dead-record space. Slot numbers are preserved; dead
+    /// slots keep their tombstone but give up their length, since the
+    /// bytes they counted now belong to the contiguous free area.
     pub fn compact(&mut self) {
         let mut live: Vec<(u16, Vec<u8>)> = self.iter().map(|(s, r)| (s, r.to_vec())).collect();
+        for slot in 0..self.slot_count() {
+            if self.slot(slot).0 == DEAD {
+                self.set_slot(slot, DEAD, 0);
+            }
+        }
         // Pack from the end of the page.
         let mut free = PAGE_SIZE;
         // Stable layout: place larger offsets first is unnecessary; any order works.
@@ -361,6 +368,22 @@ mod tests {
         let big = [2u8; 1024];
         let s = p.insert(&big).unwrap();
         assert_eq!(p.get(s), Some(&big[..]));
+        // Dead space is counted once: filling the page after the
+        // compaction never writes into the slot directory or over a live
+        // record.
+        let mut live = vec![(s, big.to_vec())];
+        for &k in slots.iter().skip(1).step_by(2) {
+            live.push((k, rec.to_vec()));
+        }
+        let mut n = 2u8;
+        while p.fits(rec.len()) {
+            n += 1;
+            let fill = [n; 512];
+            live.push((p.insert(&fill).unwrap(), fill.to_vec()));
+        }
+        for (slot, want) in &live {
+            assert_eq!(p.get(*slot), Some(&want[..]), "slot {slot}");
+        }
     }
 
     #[test]

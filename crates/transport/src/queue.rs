@@ -15,6 +15,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -24,7 +25,7 @@ use delta_storage::pressure::{Admission, DiskBudget};
 use delta_storage::{invariant, StorageError, StorageResult};
 
 use crate::compact;
-use crate::netsim::{NetFault, NetFaultSim, NetFaultStats};
+use crate::netsim::{NetFault, NetFaultSim};
 
 fn checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -324,7 +325,7 @@ impl PersistentQueue {
     /// this wraps.
     pub fn dequeue_up_to(&self, max: u64) -> StorageResult<Vec<(u64, Vec<u8>)>> {
         let mut arena = Vec::new();
-        let frames = self.dequeue_run(max, &mut arena)?;
+        let frames = self.dequeue_run(max, &mut arena, None)?;
         Ok(frames
             .into_iter()
             .map(|(idx, range)| (idx, arena[range].to_vec()))
@@ -336,11 +337,28 @@ impl PersistentQueue {
     /// capacity reused across calls) and returns `(index, payload range)`
     /// pairs borrowing from it. Checksums are verified per frame. Delivery
     /// alone does not acknowledge; an empty vec means the queue is drained.
+    ///
+    /// With `faults`, each message's fate is drawn from the simulator's
+    /// seeded plan:
+    ///
+    /// * **Drop** — the message is lost in flight; the run is truncated there
+    ///   and the cursor rewound, so the next round retransmits from the gap.
+    /// * **Duplicate** — the message appears twice in the run.
+    /// * **Reorder** — the message lands one slot late.
+    /// * **DelayAck** — the message is delivered, but the cursor is rewound
+    ///   to it anyway (its acknowledgement was lost), so the next round
+    ///   redelivers a message the consumer may already have applied and
+    ///   acknowledged.
+    ///
+    /// The spool stays intact: every enqueued message is still delivered at
+    /// least once, possibly more than once and out of index order, so
+    /// consumers must restore order and deduplicate by sequence id.
     pub fn dequeue_run(
         &self,
         max: u64,
         arena: &mut Vec<u8>,
-    ) -> StorageResult<Vec<(u64, std::ops::Range<usize>)>> {
+        faults: Option<&mut NetFaultSim>,
+    ) -> StorageResult<Vec<(u64, Range<usize>)>> {
         arena.clear();
         // lint: allow(lock_hygiene) -- reads the guarded spool at frame
         // offsets; the mutex keeps the cursor and the file view consistent.
@@ -403,6 +421,13 @@ impl PersistentQueue {
             at = trailer.end;
         }
         inner.cursor = first + count;
+        if let Some(sim) = faults {
+            let redeliver;
+            (out, redeliver) = draw_faults(out, sim);
+            if let Some(lo) = redeliver {
+                inner.cursor = lo;
+            }
+        }
         Ok(out)
     }
 
@@ -469,126 +494,60 @@ impl PersistentQueue {
     pub fn spool_bytes(&self) -> u64 {
         self.inner.lock().spool_len
     }
+}
 
-    /// Like [`PersistentQueue::dequeue_up_to`], but each message's fate is
-    /// drawn from `sim`'s seeded fault plan:
-    ///
-    /// * **Drop** — the message is lost in flight; the run is truncated there
-    ///   and the cursor rewound, so the next round retransmits from the gap.
-    /// * **Duplicate** — the message appears twice in the run.
-    /// * **Reorder** — the message lands one slot late.
-    /// * **DelayAck** — the message is delivered, but the cursor is rewound
-    ///   to it anyway (its acknowledgement was lost), so the next round
-    ///   redelivers a message the consumer may already have applied and
-    ///   acknowledged.
-    ///
-    /// The spool stays intact: every enqueued message is still delivered at
-    /// least once, possibly more than once and out of index order, so
-    /// consumers must restore order and deduplicate by sequence id.
-    pub fn dequeue_up_to_with_faults(
-        &self,
-        max: u64,
-        sim: &mut NetFaultSim,
-    ) -> StorageResult<Vec<(u64, Vec<u8>)>> {
-        let mut arena = Vec::new();
-        let frames = self.dequeue_run_with_faults(max, sim, &mut arena)?;
-        Ok(frames
-            .into_iter()
-            .map(|(idx, range)| (idx, arena[range].to_vec()))
-            .collect())
-    }
-
-    /// Arena-reusing twin of
-    /// [`PersistentQueue::dequeue_up_to_with_faults`]: the run is read with
-    /// one seek into the caller's `arena` (see
-    /// [`PersistentQueue::dequeue_run`]) and the fault plan is applied to
-    /// the `(index, payload range)` pairs, so prefetch-style consumers pay
-    /// no per-message allocation even on the faulted path.
-    pub fn dequeue_run_with_faults(
-        &self,
-        max: u64,
-        sim: &mut NetFaultSim,
-        arena: &mut Vec<u8>,
-    ) -> StorageResult<Vec<(u64, std::ops::Range<usize>)>> {
-        let run = self.dequeue_run(max, arena)?;
-        let mut out: Vec<(u64, std::ops::Range<usize>)> = Vec::with_capacity(run.len());
-        // A message fated to reorder is held back one slot.
-        let mut held: Option<(u64, std::ops::Range<usize>)> = None;
-        // Lowest index the next round must retransmit from, if any.
-        let mut redeliver: Option<u64> = None;
-        for (idx, payload) in run {
-            match sim.next_fault() {
-                NetFault::Drop => {
-                    if let Some(prev) = held.take() {
-                        out.push(prev); // was already in flight; it arrives
-                    }
-                    redeliver = Some(redeliver.map_or(idx, |r| r.min(idx)));
-                    break;
+/// Draw each message's fate from `sim` (see [`PersistentQueue::dequeue_run`]).
+/// Returns the delivered run and the lowest index the next round must
+/// retransmit from, if any.
+fn draw_faults(
+    run: Vec<(u64, Range<usize>)>,
+    sim: &mut NetFaultSim,
+) -> (Vec<(u64, Range<usize>)>, Option<u64>) {
+    let mut out = Vec::with_capacity(run.len());
+    // A message fated to reorder is held back one slot.
+    let mut held: Option<(u64, Range<usize>)> = None;
+    // Lowest index the next round must retransmit from, if any.
+    let mut redeliver: Option<u64> = None;
+    for (idx, payload) in run {
+        match sim.next_fault() {
+            NetFault::Drop => {
+                if let Some(prev) = held.take() {
+                    out.push(prev); // was already in flight; it arrives
                 }
-                NetFault::Reorder => {
-                    if let Some(prev) = held.replace((idx, payload)) {
-                        out.push(prev);
-                    }
+                redeliver = Some(redeliver.map_or(idx, |r| r.min(idx)));
+                break;
+            }
+            NetFault::Reorder => {
+                if let Some(prev) = held.replace((idx, payload)) {
+                    out.push(prev);
                 }
-                NetFault::Deliver => {
-                    out.push((idx, payload));
-                    if let Some(prev) = held.take() {
-                        out.push(prev);
-                    }
+            }
+            NetFault::Deliver => {
+                out.push((idx, payload));
+                if let Some(prev) = held.take() {
+                    out.push(prev);
                 }
-                NetFault::Duplicate => {
-                    out.push((idx, payload.clone()));
-                    out.push((idx, payload));
-                    if let Some(prev) = held.take() {
-                        out.push(prev);
-                    }
+            }
+            NetFault::Duplicate => {
+                out.push((idx, payload.clone()));
+                out.push((idx, payload));
+                if let Some(prev) = held.take() {
+                    out.push(prev);
                 }
-                NetFault::DelayAck => {
-                    redeliver = Some(redeliver.map_or(idx, |r| r.min(idx)));
-                    out.push((idx, payload));
-                    if let Some(prev) = held.take() {
-                        out.push(prev);
-                    }
+            }
+            NetFault::DelayAck => {
+                redeliver = Some(redeliver.map_or(idx, |r| r.min(idx)));
+                out.push((idx, payload));
+                if let Some(prev) = held.take() {
+                    out.push(prev);
                 }
             }
         }
-        if let Some(prev) = held.take() {
-            out.push(prev);
-        }
-        if let Some(lo) = redeliver {
-            self.rewind_to(lo);
-        }
-        Ok(out)
     }
-}
-
-/// A delivery-side fault adapter: wraps a [`PersistentQueue`]'s batched
-/// dequeue with a seeded [`NetFaultSim`], so a drained run exhibits loss
-/// (run truncated and redelivered next round), duplication, reordering, and
-/// lost-ack redelivery — while the spool itself stays intact. The queue's
-/// at-least-once guarantee is preserved: every enqueued message is still
-/// delivered at least once, possibly more than once and out of index order,
-/// so consumers must restore order and deduplicate by sequence id.
-pub struct FaultyQueue<'a> {
-    queue: &'a PersistentQueue,
-    sim: NetFaultSim,
-}
-
-impl<'a> FaultyQueue<'a> {
-    pub fn new(queue: &'a PersistentQueue, sim: NetFaultSim) -> FaultyQueue<'a> {
-        FaultyQueue { queue, sim }
+    if let Some(prev) = held.take() {
+        out.push(prev);
     }
-
-    /// Fate counters drawn so far.
-    pub fn stats(&self) -> NetFaultStats {
-        self.sim.stats()
-    }
-
-    /// Dequeue a run through the seeded fault plan — see
-    /// [`PersistentQueue::dequeue_up_to_with_faults`].
-    pub fn dequeue_up_to(&mut self, max: u64) -> StorageResult<Vec<(u64, Vec<u8>)>> {
-        self.queue.dequeue_up_to_with_faults(max, &mut self.sim)
-    }
+    (out, redeliver)
 }
 
 #[cfg(test)]
@@ -765,34 +724,43 @@ mod tests {
         assert_eq!(q.acked(), 3, "the durable watermark is untouched");
     }
 
+    /// One faulted run through a fresh arena, as owned payloads.
+    fn faulted(q: &PersistentQueue, max: u64, sim: &mut NetFaultSim) -> Vec<(u64, Vec<u8>)> {
+        let mut arena = Vec::new();
+        let run = q.dequeue_run(max, &mut arena, Some(sim)).unwrap();
+        run.into_iter()
+            .map(|(idx, range)| (idx, arena[range].to_vec()))
+            .collect()
+    }
+
     #[test]
     fn faulty_queue_clean_plan_is_transparent() {
-        use crate::netsim::{NetFaultPlan, NetFaultSim};
+        use crate::netsim::NetFaultPlan;
         let q = PersistentQueue::open(qpath("fclean.q")).unwrap();
         for i in 0..6u8 {
             q.enqueue(&[i]).unwrap();
         }
-        let mut fq = FaultyQueue::new(&q, NetFaultSim::new(NetFaultPlan::clean(1)));
-        let run = fq.dequeue_up_to(10).unwrap();
+        let mut sim = NetFaultSim::new(NetFaultPlan::clean(1));
+        let run = faulted(&q, 10, &mut sim);
         assert_eq!(run.len(), 6);
         for (want, (idx, payload)) in run.iter().enumerate() {
             assert_eq!(*idx, want as u64);
             assert_eq!(payload, &vec![want as u8]);
         }
-        assert_eq!(fq.stats().delivered, 6);
+        assert_eq!(sim.stats().delivered, 6);
     }
 
     #[test]
     fn faulty_queue_loss_truncates_and_redelivers() {
-        use crate::netsim::{NetFaultPlan, NetFaultSim};
+        use crate::netsim::NetFaultPlan;
         let q = PersistentQueue::open(qpath("floss.q")).unwrap();
         for i in 0..4u8 {
             q.enqueue(&[i]).unwrap();
         }
         let mut plan = NetFaultPlan::clean(7);
         plan.loss_pct = 100;
-        let mut fq = FaultyQueue::new(&q, NetFaultSim::new(plan));
-        assert!(fq.dequeue_up_to(10).unwrap().is_empty());
+        let mut sim = NetFaultSim::new(plan);
+        assert!(faulted(&q, 10, &mut sim).is_empty());
         assert_eq!(q.pending(), 4, "lost messages stay pending for retransmit");
         // A clean consumer still gets everything.
         let run = q.dequeue_up_to(10).unwrap();
@@ -801,15 +769,14 @@ mod tests {
 
     #[test]
     fn faulty_queue_duplicates_every_message() {
-        use crate::netsim::{NetFaultPlan, NetFaultSim};
+        use crate::netsim::NetFaultPlan;
         let q = PersistentQueue::open(qpath("fdup.q")).unwrap();
         for i in 0..3u8 {
             q.enqueue(&[i]).unwrap();
         }
         let mut plan = NetFaultPlan::clean(9);
         plan.dup_pct = 100;
-        let mut fq = FaultyQueue::new(&q, NetFaultSim::new(plan));
-        let run = fq.dequeue_up_to(10).unwrap();
+        let run = faulted(&q, 10, &mut NetFaultSim::new(plan));
         assert_eq!(run.len(), 6);
         for i in 0..3u64 {
             assert_eq!(run[2 * i as usize].0, i);
@@ -819,18 +786,18 @@ mod tests {
 
     #[test]
     fn faulty_queue_is_at_least_once_and_deterministic() {
-        use crate::netsim::{NetFaultPlan, NetFaultSim};
+        use crate::netsim::NetFaultPlan;
         use std::collections::BTreeSet;
         let deliver = |label: &str| -> Vec<u64> {
             let q = PersistentQueue::open(qpath(label)).unwrap();
             for i in 0..20u8 {
                 q.enqueue(&[i]).unwrap();
             }
-            let mut fq = FaultyQueue::new(&q, NetFaultSim::new(NetFaultPlan::lossy(42)));
+            let mut sim = NetFaultSim::new(NetFaultPlan::lossy(42));
             let mut order = Vec::new();
             let mut seen = BTreeSet::new();
             for _ in 0..200 {
-                let run = fq.dequeue_up_to(5).unwrap();
+                let run = faulted(&q, 5, &mut sim);
                 for (idx, payload) in run {
                     assert_eq!(payload, vec![idx as u8], "payload matches its id");
                     order.push(idx);
@@ -855,14 +822,14 @@ mod tests {
             q.enqueue(&[i; 64]).unwrap();
         }
         let mut arena = Vec::new();
-        let run = q.dequeue_run(4, &mut arena).unwrap();
+        let run = q.dequeue_run(4, &mut arena, None).unwrap();
         assert_eq!(run.len(), 4);
         for (want, (idx, range)) in run.iter().enumerate() {
             assert_eq!(*idx, want as u64);
             assert_eq!(&arena[range.clone()], &vec![want as u8; 64][..]);
         }
         let cap_after_first = arena.capacity();
-        let run = q.dequeue_run(4, &mut arena).unwrap();
+        let run = q.dequeue_run(4, &mut arena, None).unwrap();
         assert_eq!(run.len(), 4);
         assert_eq!(run[0].0, 4);
         assert_eq!(&arena[run[0].1.clone()], &vec![4u8; 64][..]);
@@ -871,12 +838,12 @@ mod tests {
             cap_after_first,
             "equal-sized runs reuse the arena allocation"
         );
-        assert!(q.dequeue_run(4, &mut arena).unwrap().is_empty());
+        assert!(q.dequeue_run(4, &mut arena, None).unwrap().is_empty());
     }
 
     #[test]
     fn faulted_arena_dequeue_matches_the_owned_path() {
-        use crate::netsim::{NetFaultPlan, NetFaultSim};
+        use crate::netsim::NetFaultPlan;
         let build = |label: &str| {
             let q = PersistentQueue::open(qpath(label)).unwrap();
             for i in 0..16u8 {
@@ -884,12 +851,13 @@ mod tests {
             }
             q
         };
+        // A fresh arena per run against one arena recycled across runs.
         let owned = {
             let q = build("farena-a.q");
             let mut sim = NetFaultSim::new(NetFaultPlan::lossy(31));
             let mut out = Vec::new();
             for _ in 0..50 {
-                out.extend(q.dequeue_up_to_with_faults(5, &mut sim).unwrap());
+                out.extend(faulted(&q, 5, &mut sim));
                 if q.pending() == 0 {
                     break;
                 }
@@ -902,7 +870,7 @@ mod tests {
             let mut arena = Vec::new();
             let mut out = Vec::new();
             for _ in 0..50 {
-                let run = q.dequeue_run_with_faults(5, &mut sim, &mut arena).unwrap();
+                let run = q.dequeue_run(5, &mut arena, Some(&mut sim)).unwrap();
                 out.extend(
                     run.into_iter()
                         .map(|(idx, range)| (idx, arena[range].to_vec())),
@@ -935,7 +903,7 @@ mod tests {
         bytes[4] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         let mut arena = Vec::new();
-        let err = q.dequeue_run(10, &mut arena).unwrap_err();
+        let err = q.dequeue_run(10, &mut arena, None).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)));
     }
 

@@ -41,7 +41,7 @@ fn legacy_spool_bytes_reopen_and_drain_unchanged() {
     // And the arena path reads the legacy frame identically.
     q.rewind_to(0);
     let mut arena = Vec::new();
-    let run = q.dequeue_run(10, &mut arena).unwrap();
+    let run = q.dequeue_run(10, &mut arena, None).unwrap();
     assert_eq!(run.len(), 2);
     assert_eq!(&arena[run[0].1.clone()], PAYLOAD);
 }

@@ -219,9 +219,9 @@ impl Warehouse {
 
     /// Create the applied-sequence watermark table if it does not exist.
     /// The row with `id = 0` holds the highest queue sequence id of the
-    /// *contiguous* applied prefix; rows with `id = lo + 1` record
-    /// out-of-order `[lo, seq]` ranges committed by parallel apply workers
-    /// ahead of that prefix (see [`Warehouse::fold_applied_ranges`]).
+    /// *contiguous* applied prefix; rows with `id = lo + 1` record the
+    /// `[lo, seq]` ranges apply groups committed since the last fold (see
+    /// [`Warehouse::fold_applied_ranges`]).
     pub fn ensure_applied_watermark(&self) -> EngineResult<()> {
         if self.db.table(APPLIED_SEQ_TABLE).is_err() {
             let schema = Schema::new(vec![
@@ -238,16 +238,15 @@ impl Warehouse {
     /// The highest queue sequence id of the contiguous applied prefix, or
     /// `None` if nothing was ever tracked. Redelivered batches at or below
     /// this watermark were already applied and must be skipped — this is
-    /// what makes at-least-once delivery exactly-once-observable. Parallel
-    /// sync may additionally have committed ranges *above* the watermark;
+    /// what makes at-least-once delivery exactly-once-observable. Groups
+    /// committed since the last fold sit in ranges *above* the watermark;
     /// use [`Warehouse::applied_state`] to see those too.
     pub fn applied_watermark(&self) -> EngineResult<Option<u64>> {
         Ok(self.applied_state()?.watermark)
     }
 
     /// The full durable applied-sequence bookkeeping: the contiguous
-    /// watermark plus any out-of-order ranges committed ahead of it by
-    /// parallel apply workers.
+    /// watermark plus any ranges committed ahead of it and not yet folded.
     pub fn applied_state(&self) -> EngineResult<AppliedState> {
         if self.db.table(APPLIED_SEQ_TABLE).is_err() {
             return Ok(AppliedState::default());
@@ -264,27 +263,6 @@ impl Warehouse {
         }
         state.ranges.sort_unstable();
         Ok(state)
-    }
-
-    /// Record `seq` as applied *inside* `txn`, so the delta effects and the
-    /// watermark advance commit atomically: a crash either keeps both (the
-    /// redelivery dedupes) or neither (the redelivery re-applies).
-    pub fn record_applied(&self, txn: &mut Transaction, seq: u64) -> EngineResult<()> {
-        let del = Statement::Delete {
-            table: APPLIED_SEQ_TABLE.to_string(),
-            predicate: Some(keyed_predicate("id", &Value::Int(0))),
-        };
-        let ins = Statement::Insert {
-            table: APPLIED_SEQ_TABLE.to_string(),
-            columns: None,
-            rows: vec![vec![
-                Expr::Literal(Value::Int(0)),
-                Expr::Literal(Value::Int(seq as i64)),
-            ]],
-        };
-        exec::execute(&self.db, txn, &del)?;
-        exec::execute(&self.db, txn, &ins)?;
-        Ok(())
     }
 
     fn install_capture(&self, table: &str) -> EngineResult<()> {
@@ -447,8 +425,8 @@ impl Warehouse {
 }
 
 /// The durable applied-sequence bookkeeping read back from
-/// [`APPLIED_SEQ_TABLE`]: the contiguous watermark plus any out-of-order
-/// ranges committed ahead of it by parallel apply workers.
+/// [`APPLIED_SEQ_TABLE`]: the contiguous watermark plus any ranges
+/// committed ahead of it and not yet folded.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AppliedState {
     /// Highest sequence id of the contiguous applied prefix.
@@ -472,27 +450,19 @@ impl AppliedState {
 pub enum AppliedMark {
     /// Record nothing (direct applier use outside the sync pipeline).
     None,
-    /// Advance the contiguous `id = 0` watermark row to `seq` (serial
-    /// sync: commits happen in sequence order, so the prefix is closed).
-    Watermark(u64),
     /// Record the closed `[lo, hi]` range as applied without touching the
-    /// watermark (parallel sync: commits may land out of order; the
-    /// contiguous prefix is folded afterwards by
-    /// [`Warehouse::fold_applied_ranges`]).
+    /// watermark (commits may land out of sequence order; the contiguous
+    /// prefix is folded afterwards by [`Warehouse::fold_applied_ranges`]).
     Range(u64, u64),
 }
 
 impl Warehouse {
-    /// Record an out-of-order applied range `[lo, hi]` *inside* `txn`. The
-    /// row is keyed `id = lo + 1` (`id = 0` is the watermark row), so
-    /// concurrent workers recording disjoint ranges never collide.
-    pub fn record_applied_range(
-        &self,
-        txn: &mut Transaction,
-        lo: u64,
-        hi: u64,
-    ) -> EngineResult<()> {
-        let id = Value::Int((lo + 1) as i64);
+    /// Write the watermark-table row `id -> seq` *inside* `txn`, so a
+    /// group's delta effects and its applied mark commit atomically: a
+    /// crash either keeps both (the redelivery dedupes) or neither (the
+    /// redelivery re-applies).
+    fn write_applied_row(&self, txn: &mut Transaction, id: u64, seq: u64) -> EngineResult<()> {
+        let id = Value::Int(id as i64);
         let del = Statement::Delete {
             table: APPLIED_SEQ_TABLE.to_string(),
             predicate: Some(keyed_predicate("id", &id)),
@@ -502,7 +472,7 @@ impl Warehouse {
             columns: None,
             rows: vec![vec![
                 Expr::Literal(id),
-                Expr::Literal(Value::Int(hi as i64)),
+                Expr::Literal(Value::Int(seq as i64)),
             ]],
         };
         exec::execute(&self.db, txn, &del)?;
@@ -510,52 +480,54 @@ impl Warehouse {
         Ok(())
     }
 
-    /// Apply `mark` inside `txn` (dispatch helper for the appliers).
+    /// Apply `mark` inside `txn` (dispatch helper for the appliers). A
+    /// range row is keyed `id = lo + 1` (`id = 0` is the watermark row), so
+    /// concurrent workers recording disjoint ranges never collide.
     fn record_mark(&self, txn: &mut Transaction, mark: AppliedMark) -> EngineResult<()> {
         match mark {
             AppliedMark::None => Ok(()),
-            AppliedMark::Watermark(seq) => self.record_applied(txn, seq),
-            AppliedMark::Range(lo, hi) => self.record_applied_range(txn, lo, hi),
+            AppliedMark::Range(lo, hi) => self.write_applied_row(txn, lo + 1, hi),
         }
     }
 
-    /// Fold every out-of-order range that extends the contiguous prefix
-    /// into the `id = 0` watermark row, in one short transaction. Ranges
-    /// stay behind only while a sequence gap below them is unresolved
-    /// (e.g. a sibling group still retrying or quarantined mid-run).
-    pub fn fold_applied_ranges(&self) -> EngineResult<AppliedState> {
+    /// Fold the applied bookkeeping into the `id = 0` watermark row, in one
+    /// short transaction. `floor` is the highest sequence id known complete
+    /// together with everything below it — the queue's acked prefix, whose
+    /// sequences are committed, quarantined or deduped — so the watermark
+    /// may jump over quarantined sequences that never record a range.
+    /// Ranges that then extend the contiguous prefix fold in; the rest stay
+    /// behind while a gap below them is unresolved (a sibling group still
+    /// retrying, or abandoned by the watchdog).
+    pub fn fold_applied_ranges(&self, floor: Option<u64>) -> EngineResult<AppliedState> {
         let state = self.applied_state()?;
-        if state.ranges.is_empty() {
-            return Ok(state);
-        }
-        let mut watermark = state.watermark;
-        let mut folded: Vec<(u64, u64)> = Vec::new();
+        let mut watermark = state.watermark.max(floor);
+        let mut folded: Vec<u64> = Vec::new();
         let mut rest: Vec<(u64, u64)> = Vec::new();
         for &(lo, hi) in &state.ranges {
             let next = watermark.map_or(0, |w| w.saturating_add(1));
             if lo <= next {
                 watermark = Some(watermark.map_or(hi, |w| w.max(hi)));
-                folded.push((lo, hi));
+                folded.push(lo);
             } else {
                 rest.push((lo, hi));
             }
         }
-        if folded.is_empty() {
+        if folded.is_empty() && watermark == state.watermark {
             return Ok(state);
         }
         let mut txn = self.db.begin();
         let result = (|| {
-            for &(lo, _) in &folded {
+            for &lo in &folded {
                 let del = Statement::Delete {
                     table: APPLIED_SEQ_TABLE.to_string(),
                     predicate: Some(keyed_predicate("id", &Value::Int((lo + 1) as i64))),
                 };
                 exec::execute(&self.db, &mut txn, &del)?;
             }
-            if let Some(w) = watermark {
-                self.record_applied(&mut txn, w)?;
+            match watermark {
+                Some(w) => self.write_applied_row(&mut txn, 0, w),
+                None => Ok(()),
             }
-            Ok(())
         })();
         match result {
             Ok(()) => {
@@ -604,22 +576,7 @@ impl ValueDeltaApplier {
     /// whole run. Insert coalescing stays per batch, so the statement
     /// counts match applying each batch alone.
     pub fn apply_run(wh: &Warehouse, vds: &[&ValueDelta]) -> EngineResult<ApplyReport> {
-        ValueDeltaApplier::apply_run_tracked(wh, vds, None)
-    }
-
-    /// Like [`apply_run`](ValueDeltaApplier::apply_run), but additionally
-    /// recording `applied_seq` in the warehouse watermark table inside the
-    /// same transaction (see [`Warehouse::record_applied`]).
-    pub fn apply_run_tracked(
-        wh: &Warehouse,
-        vds: &[&ValueDelta],
-        applied_seq: Option<u64>,
-    ) -> EngineResult<ApplyReport> {
-        let mark = match applied_seq {
-            Some(seq) => AppliedMark::Watermark(seq),
-            None => AppliedMark::None,
-        };
-        ValueDeltaApplier::apply_run_marked(wh, vds, mark)
+        ValueDeltaApplier::apply_run_marked(wh, vds, AppliedMark::None)
     }
 
     /// Like [`apply_run`](ValueDeltaApplier::apply_run), but additionally
@@ -793,22 +750,6 @@ impl OpDeltaApplier {
         cache: &RewriteCache,
     ) -> EngineResult<ApplyReport> {
         OpDeltaApplier::apply_inner(wh, od, Some(cache), AppliedMark::None)
-    }
-
-    /// Like [`apply_cached`](OpDeltaApplier::apply_cached), but additionally
-    /// recording `applied_seq` in the warehouse watermark table inside the
-    /// replay transaction (see [`Warehouse::record_applied`]).
-    pub fn apply_cached_tracked(
-        wh: &Warehouse,
-        od: &OpDelta,
-        cache: &RewriteCache,
-        applied_seq: Option<u64>,
-    ) -> EngineResult<ApplyReport> {
-        let mark = match applied_seq {
-            Some(seq) => AppliedMark::Watermark(seq),
-            None => AppliedMark::None,
-        };
-        OpDeltaApplier::apply_inner(wh, od, Some(cache), mark)
     }
 
     /// Like [`apply_cached`](OpDeltaApplier::apply_cached), but additionally

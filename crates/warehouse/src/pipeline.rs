@@ -185,10 +185,8 @@ pub struct Pipeline {
     /// format per payload, so mixed-codec queues drain fine.
     codec: DeltaCodec,
     codec_block_rows: usize,
-    /// Apply workers for `sync`; `None` defers to
-    /// [`DbOptions::sync_workers`](delta_engine::db::DbOptions) on the
-    /// warehouse database.
-    pub(crate) sync_workers: Option<usize>,
+    /// Apply workers for `sync` (0 = available parallelism).
+    pub(crate) sync_workers: usize,
     /// Per-wave deadline for the stall watchdog (see [`crate::watchdog`]);
     /// `None` waits forever (the historical behaviour).
     pub(crate) stage_deadline: Option<Duration>,
@@ -215,7 +213,7 @@ impl Pipeline {
             jitter_state: Mutex::new(0),
             codec: DeltaCodec::default(),
             codec_block_rows: DEFAULT_BLOCK_ROWS,
-            sync_workers: None,
+            sync_workers: 0,
             stage_deadline: None,
             stall_injector: None,
         })
@@ -230,12 +228,15 @@ impl Pipeline {
         self
     }
 
-    /// Bound how long `sync` waits for any parallel apply wave. A wave
-    /// that misses the deadline is abandoned: its unfinished groups stay
-    /// unacknowledged (the next `sync` redelivers them), remaining workers
-    /// stand down at their next group boundary, and the sync reports a
-    /// stall instead of hanging. Serial applies (one worker) are not
-    /// guarded — there is no second thread to hand control back to.
+    /// Bound how long `sync` waits for any apply wave, at every worker
+    /// count (one worker is a pool of one, so the calling thread is always
+    /// free to give up waiting). A wave that misses the deadline is
+    /// abandoned: its unfinished groups stay unacknowledged, remaining
+    /// workers stand down at their next group boundary, the cursor rewinds
+    /// to the ack, and the sync ends early reporting a stall instead of
+    /// hanging. Nothing is replayed in place: the next `sync` redelivers
+    /// the abandoned sequences, and whatever the late worker committed
+    /// dedupes.
     pub fn with_stage_deadline(mut self, deadline: Duration) -> Pipeline {
         self.stage_deadline = Some(deadline);
         self
@@ -249,11 +250,12 @@ impl Pipeline {
     }
 
     /// Set how many workers `sync` may use to apply delta groups for
-    /// *different* tables concurrently (0 = available parallelism, 1 =
-    /// reproduce the serial apply loop exactly). Overrides the warehouse's
-    /// [`DbOptions::sync_workers`](delta_engine::db::DbOptions) default.
+    /// *different* tables concurrently (0, the default, = available
+    /// parallelism). One worker is a pool of one: the same waves, range
+    /// marks, folds and acks, with a wave's classes applied one after
+    /// another.
     pub fn with_sync_workers(mut self, workers: usize) -> Pipeline {
-        self.sync_workers = Some(workers);
+        self.sync_workers = workers;
         self
     }
 
@@ -509,8 +511,6 @@ impl Pipeline {
     /// exactly-once-observable: batches recorded as applied (lost acks,
     /// crash between commit and ack, duplicated delivery) are skipped, and
     /// out-of-order delivery is restored by sequence id before applying.
-    /// With one worker the apply order, transactions, and watermark
-    /// advancement are identical to the historical serial loop.
     ///
     /// Without a [`RetryPolicy`], any apply failure rewinds the dequeue
     /// cursor so the unacknowledged suffix is redelivered by the next
@@ -1146,14 +1146,20 @@ mod tests {
 
     #[test]
     fn stalled_wave_is_abandoned_counted_and_redelivered() {
+        for workers in [1, 2] {
+            stalled_wave_converges(workers);
+        }
+    }
+
+    fn stalled_wave_converges(workers: usize) {
         use crate::watchdog::StallPlan;
-        let db = open_temp("stall-wh").unwrap();
+        let db = open_temp(&format!("stall-wh-{workers}")).unwrap();
         let mut wh = Warehouse::new(db);
         wh.add_mirror(MirrorConfig::full("t", schema())).unwrap();
         wh.add_mirror(MirrorConfig::full("u", schema())).unwrap();
-        let pipe = Pipeline::open(qpath("stall"))
+        let pipe = Pipeline::open(qpath(&format!("stall-{workers}")))
             .unwrap()
-            .with_sync_workers(2)
+            .with_sync_workers(workers)
             .with_stage_deadline(Duration::from_millis(40))
             .with_injected_stalls(StallPlan::new(0, 100, 250));
         let batch = |table: &str, id: i64| {
@@ -1170,7 +1176,10 @@ mod tests {
         pipe.publish(&batch("u", 2)).unwrap();
 
         let first = pipe.sync(&wh).unwrap();
-        assert!(first.stalls >= 1, "the watchdog abandoned the stalled wave");
+        assert!(
+            first.stalls >= 1,
+            "{workers} worker(s): the watchdog abandoned the stalled wave"
+        );
 
         // Every stall fires once, so the drain converges.
         let mut stalls = first.stalls;
@@ -1180,11 +1189,16 @@ mod tests {
             }
             stalls += pipe.sync(&wh).unwrap().stalls;
         }
-        assert_eq!(pipe.queue().acked(), 2, "stalled groups settled");
+        assert_eq!(
+            pipe.queue().acked(),
+            2,
+            "{workers} worker(s): stalled groups settled"
+        );
         assert_eq!(pipe.queue().pending(), 0);
         assert_eq!(wh.db().row_count("t").unwrap(), 1);
         assert_eq!(wh.db().row_count("u").unwrap(), 1);
         assert!(stalls >= 1);
+        assert_eq!(wh.applied_watermark().unwrap(), Some(1));
     }
 
     #[test]

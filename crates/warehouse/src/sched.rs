@@ -14,25 +14,27 @@
 //!    share a class); classes apply concurrently on a pool of workers
 //!    spawned once per sync, while groups within a class keep
 //!    queue-sequence order. An Op-Delta group is a wave of its own — a
-//!    full barrier — because replayed SQL may touch any table.
+//!    full barrier — because replayed SQL may touch any table. Every wave
+//!    goes to the pool; one worker is a pool of one, which applies a
+//!    wave's classes one after another.
 //! 3. **Batched view maintenance** — inside each apply transaction,
 //!    aggregate views fold the whole capture drain per touched group
 //!    instead of per row (see [`crate::aggview::AggregateView::apply_batch`]).
 //!
 //! ## The prefix-ack invariant
 //!
-//! Parallel waves commit out of sequence order, but the queue ack and the
+//! Waves commit out of sequence order, but the queue ack and the
 //! warehouse watermark only ever advance over the **contiguous completed
 //! prefix** of the run (completed = committed, quarantined, or already
-//! applied in a previous life). A group that commits ahead of a gap
-//! records its `[first, last]` sequence range in the watermark table
-//! ([`AppliedMark::Range`]) instead of advancing the watermark; once the
-//! prefix closes, [`Warehouse::fold_applied_ranges`] folds the ranges into
-//! the watermark. A crash at any point therefore redelivers only batches
-//! that either never committed or are recognized (watermark or range) and
-//! deduped — the at-least-once / exactly-once-observable contract of the
-//! serial loop is unchanged. With one worker the scheduler degenerates to
-//! the serial loop: same commit order, same watermark rows, same acks.
+//! applied in a previous life). Every group records its `[first, last]`
+//! sequence range in the watermark table ([`AppliedMark::Range`]) inside
+//! its own transaction; after each run's ack,
+//! [`Warehouse::fold_applied_ranges`] folds the ranges into the watermark
+//! with the acked prefix as its floor, so the watermark also passes over
+//! quarantined sequences. A crash at any point therefore redelivers only
+//! batches that either never committed or are recognized (watermark or
+//! range) and deduped — at-least-once delivery in, exactly-once
+//! observable effects out.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -121,13 +123,11 @@ fn decode_stage(
 ) {
     for mut arena in req {
         let started = Instant::now();
-        let dequeued = match &pipe.net_faults {
-            Some(sim) => {
-                pipe.queue
-                    .dequeue_run_with_faults(pipe.batch_size, &mut sim.lock(), &mut arena)
-            }
-            None => pipe.queue.dequeue_run(pipe.batch_size, &mut arena),
-        };
+        let mut faults = pipe.net_faults.as_ref().map(|sim| sim.lock());
+        let dequeued = pipe
+            .queue
+            .dequeue_run(pipe.batch_size, &mut arena, faults.as_deref_mut());
+        drop(faults);
         let outcome = match dequeued {
             Ok(frames) => {
                 let frames = frames
@@ -185,13 +185,10 @@ struct RunShared {
 }
 
 /// One unit of parallel work: the group ordinals of one concurrency class
-/// within one wave, applied in sequence order by a single worker. The
-/// epoch identifies the wave, so results of a wave the watchdog abandoned
-/// are recognized as stale and discarded.
+/// within one wave, applied in sequence order by a single worker.
 struct WorkItem {
     run: Arc<RunShared>,
     class: Vec<usize>,
-    epoch: u64,
 }
 
 /// What one group's execution reported back.
@@ -220,19 +217,23 @@ impl GroupOutcome {
 }
 
 /// The apply worker pool spawned once per sync: classes flow out through a
-/// shared work channel, per-class outcome vectors flow back tagged with
-/// their wave epoch. Workers exit when the work channel closes.
+/// shared work channel, per-class outcome vectors flow back. Workers exit
+/// when the work channel closes. A wave the watchdog abandons ends the
+/// sync, so a late result is never mistaken for one of a later wave.
 struct WorkerPool {
+    /// Worker threads in the pool (≥ 1).
+    workers: usize,
+    /// Concurrency class of every mirrored table
+    /// ([`Warehouse::apply_classes`]).
+    classes: HashMap<String, usize>,
     work: mpsc::Sender<WorkItem>,
-    results: mpsc::Receiver<(u64, Vec<(usize, GroupOutcome)>)>,
+    results: mpsc::Receiver<Vec<(usize, GroupOutcome)>>,
     /// Total nanos workers spent executing groups, across the sync.
     busy_nanos: Arc<AtomicU64>,
     /// Watchdog stand-down flag: set when a wave misses its deadline;
     /// workers observe it at group boundaries and stop early. Reset before
     /// each wave is dispatched.
     cancel: Arc<AtomicBool>,
-    /// Monotone wave counter for tagging work and results.
-    epoch: AtomicU64,
 }
 
 /// Apply-worker loop: take one class at a time and run its groups in
@@ -245,7 +246,7 @@ fn apply_worker(
     pipe: &Pipeline,
     wh: &Warehouse,
     work: &Mutex<mpsc::Receiver<WorkItem>>,
-    results: mpsc::Sender<(u64, Vec<(usize, GroupOutcome)>)>,
+    results: mpsc::Sender<Vec<(usize, GroupOutcome)>>,
     busy_nanos: &AtomicU64,
     cancel: &AtomicBool,
 ) {
@@ -257,48 +258,37 @@ fn apply_worker(
             Ok(item) => item,
             Err(_) => return,
         };
+        let WorkItem { run, class } = item;
         let started = Instant::now();
-        let mut out = Vec::with_capacity(item.class.len());
-        for &g in &item.class {
+        let mut out = Vec::with_capacity(class.len());
+        for g in class {
             if cancel.load(Ordering::Acquire) {
                 // The wave was abandoned; unexecuted groups stay `None`
                 // in the outcome table and redeliver.
                 break;
             }
-            let group = &item.run.groups[g];
-            let outcome = execute_group(
-                pipe,
-                wh,
-                &item.run.batches[group.batches.clone()],
-                &item.run.arena,
-                AppliedMark::Range(group.first_seq, group.last_seq),
-                true,
-            );
+            let outcome = execute_group(pipe, wh, &run, g);
             let stop = outcome.failed.is_some();
             out.push((g, outcome));
             if stop {
                 break;
             }
         }
+        // Release the run before reporting, so once the main thread holds
+        // every result of a wave it also holds the only handle to the run.
+        drop(run);
         busy_nanos.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if results.send((item.epoch, out)).is_err() {
+        if results.send(out).is_err() {
             return;
         }
     }
 }
 
-/// The worker count `sync` runs with: the pipeline override, else the
-/// database option, with 0 meaning available parallelism.
-fn resolved_workers(pipe: &Pipeline, wh: &Warehouse) -> usize {
-    let configured = pipe
-        .sync_workers
-        .unwrap_or_else(|| wh.db().options().sync_workers);
-    if configured == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        configured
+/// The worker count `sync` runs with, 0 meaning available parallelism.
+fn resolved_workers(pipe: &Pipeline) -> usize {
+    match pipe.sync_workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     }
 }
 
@@ -307,15 +297,11 @@ fn resolved_workers(pipe: &Pipeline, wh: &Warehouse) -> usize {
 pub(crate) fn run_sync(pipe: &Pipeline, wh: &Warehouse) -> EngineResult<SyncReport> {
     let mut report = SyncReport::default();
     wh.ensure_applied_watermark()?;
-    let workers = resolved_workers(pipe, wh);
-    let classes = if workers > 1 {
-        // A crashed parallel sync may have left committed ranges behind;
-        // fold whatever prefix already closed before dedupe reads it.
-        wh.fold_applied_ranges()?;
-        wh.apply_classes()
-    } else {
-        HashMap::new()
-    };
+    // A crashed sync may have left committed ranges behind, or acked
+    // before its fold; fold whatever prefix already closed before dedupe
+    // reads it.
+    wh.fold_applied_ranges(acked_floor(pipe))?;
+    let workers = resolved_workers(pipe);
     std::thread::scope(|scope| {
         let (req_tx, req_rx) = mpsc::channel::<Vec<u8>>();
         let (res_tx, res_rx) = mpsc::channel::<EngineResult<DecodedRun>>();
@@ -325,28 +311,25 @@ pub(crate) fn run_sync(pipe: &Pipeline, wh: &Warehouse) -> EngineResult<SyncRepo
             res: res_rx,
             outstanding: false,
         };
-        let pool = if workers > 1 {
-            let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
-            let (result_tx, result_rx) = mpsc::channel::<(u64, Vec<(usize, GroupOutcome)>)>();
-            let work_rx = Arc::new(Mutex::new(work_rx));
-            let busy = Arc::new(AtomicU64::new(0));
-            let cancel = Arc::new(AtomicBool::new(false));
-            for _ in 0..workers {
-                let work_rx = Arc::clone(&work_rx);
-                let result_tx = result_tx.clone();
-                let busy = Arc::clone(&busy);
-                let cancel = Arc::clone(&cancel);
-                scope.spawn(move || apply_worker(pipe, wh, &work_rx, result_tx, &busy, &cancel));
-            }
-            Some(WorkerPool {
-                work: work_tx,
-                results: result_rx,
-                busy_nanos: busy,
-                cancel,
-                epoch: AtomicU64::new(0),
-            })
-        } else {
-            None
+        let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
+        let (result_tx, result_rx) = mpsc::channel::<Vec<(usize, GroupOutcome)>>();
+        let work_rx = Arc::new(Mutex::new(work_rx));
+        let busy = Arc::new(AtomicU64::new(0));
+        let cancel = Arc::new(AtomicBool::new(false));
+        for _ in 0..workers {
+            let work_rx = Arc::clone(&work_rx);
+            let result_tx = result_tx.clone();
+            let busy = Arc::clone(&busy);
+            let cancel = Arc::clone(&cancel);
+            scope.spawn(move || apply_worker(pipe, wh, &work_rx, result_tx, &busy, &cancel));
+        }
+        let pool = WorkerPool {
+            workers,
+            classes: wh.apply_classes(),
+            work: work_tx,
+            results: result_rx,
+            busy_nanos: busy,
+            cancel,
         };
         prefetch.request(Vec::new());
         // Two arenas ping-pong between the stages: the one backing the run
@@ -358,17 +341,7 @@ pub(crate) fn run_sync(pipe: &Pipeline, wh: &Warehouse) -> EngineResult<SyncRepo
                 break;
             }
             report.decode_nanos += run.decode_nanos;
-            match sync_one_run(
-                pipe,
-                wh,
-                run,
-                workers,
-                &classes,
-                pool.as_ref(),
-                &mut prefetch,
-                &mut spare,
-                &mut report,
-            )? {
+            match sync_one_run(pipe, wh, run, &pool, &mut prefetch, &mut spare, &mut report)? {
                 Some(arena) => spare = arena,
                 // A stalled wave ended the drain: the cursor has been
                 // rewound to the ack so the next sync redelivers, and the
@@ -377,25 +350,27 @@ pub(crate) fn run_sync(pipe: &Pipeline, wh: &Warehouse) -> EngineResult<SyncRepo
                 None => break,
             }
         }
-        if let Some(pool) = &pool {
-            report.worker_busy_nanos += pool.busy_nanos.load(Ordering::Relaxed);
-        }
+        report.worker_busy_nanos += pool.busy_nanos.load(Ordering::Relaxed);
         Ok(report)
     })
+}
+
+/// The highest sequence id of the queue's acked prefix: every sequence at
+/// or below it is complete (committed, quarantined or deduped), which is
+/// the floor [`Warehouse::fold_applied_ranges`] may raise the watermark to.
+fn acked_floor(pipe: &Pipeline) -> Option<u64> {
+    pipe.queue.acked().checked_sub(1)
 }
 
 /// Apply one decoded run and return its arena for recycling (`None` ends
 /// the sync early: the stall watchdog abandoned a wave). On a fail-stop
 /// error the decode stage is drained, the completed prefix is acked, the
 /// cursor rewinds to the ack, and the error surfaces.
-#[allow(clippy::too_many_arguments)]
 fn sync_one_run(
     pipe: &Pipeline,
     wh: &Warehouse,
     run: DecodedRun,
-    workers: usize,
-    classes: &HashMap<String, usize>,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
     prefetch: &mut Prefetch,
     spare_arena: &mut Vec<u8>,
     report: &mut SyncReport,
@@ -488,7 +463,7 @@ fn sync_one_run(
     let stalls_before = report.stalls;
     if decode_failure.is_none() {
         let apply_started = Instant::now();
-        outcomes = run_waves(pipe, wh, &shared, classes, workers, pool, report);
+        outcomes = run_waves(pipe, &shared, pool, report);
         report.apply_nanos += apply_started.elapsed().as_nanos() as u64;
         for outcome in outcomes.iter().flatten() {
             report.batches += outcome.batches_applied;
@@ -500,7 +475,7 @@ fn sync_one_run(
     }
 
     // Advance the queue ack over the contiguous completed prefix, then
-    // fold whatever watermark ranges that closed.
+    // fold the watermark up to it and over whatever ranges that closed.
     let ack_started = Instant::now();
     let mut ack_hi: Option<u64> = None;
     for (idx, entry) in &entries {
@@ -522,9 +497,7 @@ fn sync_one_run(
     if let Some(hi) = ack_hi {
         pipe.queue.ack(hi).map_err(EngineError::Storage)?;
     }
-    if workers > 1 && decode_failure.is_none() {
-        wh.fold_applied_ranges()?;
-    }
+    wh.fold_applied_ranges(acked_floor(pipe))?;
     report.ack_nanos += ack_started.elapsed().as_nanos() as u64;
 
     // Surface the earliest fail-stop error, if any, after draining the
@@ -561,9 +534,8 @@ fn sync_one_run(
             pipe.queue.rewind_to_acked();
             Ok(None)
         }
-        // Recover the arena for recycling when the workers have already
-        // dropped their handles (they have: every class result was
-        // collected; the unwrap only races a worker's final drop).
+        // Recover the arena for recycling: every class result was
+        // collected, and workers drop their handle before reporting.
         None => Ok(Some(
             Arc::try_unwrap(shared).map(|s| s.arena).unwrap_or_default(),
         )),
@@ -604,18 +576,15 @@ fn build_groups(batches: &[RunBatch]) -> Vec<Group> {
     groups
 }
 
-/// Execute the run's groups in waves: consecutive value-delta groups form
-/// one wave whose concurrency classes apply in parallel on the worker
-/// pool; each Op-Delta group — and any wave with a single class — runs
-/// serially on the calling thread. Returns per-group outcomes (`None` =
-/// not attempted because an earlier wave failed).
+/// Execute the run's groups in waves on the worker pool: consecutive
+/// value-delta groups form one wave whose concurrency classes apply in
+/// parallel; each Op-Delta group is a wave of its own. Returns per-group
+/// outcomes (`None` = not attempted because an earlier wave failed or
+/// stalled).
 fn run_waves(
     pipe: &Pipeline,
-    wh: &Warehouse,
     shared: &Arc<RunShared>,
-    classes: &HashMap<String, usize>,
-    workers: usize,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
     report: &mut SyncReport,
 ) -> Vec<Option<GroupOutcome>> {
     let groups = &shared.groups;
@@ -643,7 +612,7 @@ fn run_waves(
             let key = groups[g]
                 .table
                 .as_ref()
-                .and_then(|t| classes.get(t).copied());
+                .and_then(|t| pool.classes.get(t).copied());
             match class_keys.iter().position(|k| *k == key) {
                 Some(c) => class_groups[c].push(g),
                 None => {
@@ -652,95 +621,45 @@ fn run_waves(
                 }
             }
         }
+        let concurrency = pool.workers.min(class_groups.len()) as u64;
+        report.workers_used = report.workers_used.max(concurrency);
+        let dispatched = class_groups.len();
+        pool.cancel.store(false, Ordering::Release);
+        for class in class_groups {
+            // A failed send means a worker panicked and the channel died;
+            // the missing outcomes below surface it as an incomplete
+            // (unacked, redelivered) suffix.
+            let _ = pool.work.send(WorkItem {
+                run: Arc::clone(shared),
+                class,
+            });
+        }
         let mut failed_wave = false;
-        match pool {
-            // A single-class wave normally applies inline, but when a stage
-            // deadline is armed it must still run on the pool: the watchdog
-            // can only abandon work it is *waiting* on, not work it is doing.
-            Some(pool) if class_groups.len() > 1 || pipe.stage_deadline.is_some() => {
-                let concurrency = workers.min(class_groups.len()) as u64;
-                report.workers_used = report.workers_used.max(concurrency);
-                let dispatched = class_groups.len();
-                let epoch = pool.epoch.fetch_add(1, Ordering::Relaxed);
-                pool.cancel.store(false, Ordering::Release);
-                for class in class_groups {
-                    // A failed send means a worker panicked and the
-                    // channel died; the missing outcomes below surface it
-                    // as an incomplete (unacked, redelivered) suffix.
-                    let _ = pool.work.send(WorkItem {
-                        run: Arc::clone(shared),
-                        class,
-                        epoch,
-                    });
-                }
-                let mut received = 0;
-                while received < dispatched {
-                    let msg = match pipe.stage_deadline {
-                        Some(deadline) => match pool.results.recv_timeout(deadline) {
-                            Ok(msg) => Some(msg),
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                // Watchdog: the wave missed its deadline.
-                                // Flag the stand-down, count the stall,
-                                // and abandon the wave — its incomplete
-                                // groups stay unacked and redeliver. Any
-                                // late result carries this epoch and is
-                                // discarded by later waves.
-                                pool.cancel.store(true, Ordering::Release);
-                                report.stalls += 1;
-                                failed_wave = true;
-                                break;
-                            }
-                            Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                        },
-                        None => pool.results.recv().ok(),
-                    };
-                    let Some((ep, class_out)) = msg else {
-                        failed_wave = true;
-                        break;
-                    };
-                    if ep != epoch {
-                        // Stale result from a wave the watchdog abandoned
-                        // (possibly in an earlier run): its outcome table
-                        // is gone; redelivery settles whatever it did.
-                        continue;
-                    }
-                    received += 1;
-                    for (g, out) in class_out {
-                        failed_wave |= out.failed.is_some();
-                        outcomes[g] = Some(out);
-                    }
-                }
-            }
-            _ => {
-                report.workers_used = report.workers_used.max(1);
-                for g in wave {
-                    let started = Instant::now();
-                    let group = &groups[g];
-                    let mark = if pool.is_some() && group.table.is_some() {
-                        // Parallel syncs record ranges even for serial
-                        // waves: earlier parallel waves may not have
-                        // folded yet, and a watermark jump must not imply
-                        // batches this run never saw.
-                        AppliedMark::Range(group.first_seq, group.last_seq)
-                    } else {
-                        AppliedMark::Watermark(group.last_seq)
-                    };
-                    let out = execute_group(
-                        pipe,
-                        wh,
-                        &shared.batches[group.batches.clone()],
-                        &shared.arena,
-                        mark,
-                        pool.is_some(),
-                    );
-                    report.worker_busy_nanos += started.elapsed().as_nanos() as u64;
-                    let stop = out.failed.is_some();
-                    outcomes[g] = Some(out);
-                    if stop {
+        for _ in 0..dispatched {
+            let msg = match pipe.stage_deadline {
+                Some(deadline) => match pool.results.recv_timeout(deadline) {
+                    Ok(msg) => Some(msg),
+                    Err(mpsc::RecvTimeoutError::Timeout) => {
+                        // Watchdog: the wave missed its deadline. Flag the
+                        // stand-down, count the stall, and abandon the
+                        // wave — its incomplete groups stay unacked and
+                        // redeliver after the sync ends.
+                        pool.cancel.store(true, Ordering::Release);
+                        report.stalls += 1;
                         failed_wave = true;
                         break;
                     }
-                }
+                    Err(mpsc::RecvTimeoutError::Disconnected) => None,
+                },
+                None => pool.results.recv().ok(),
+            };
+            let Some(class_out) = msg else {
+                failed_wave = true;
+                break;
+            };
+            for (g, out) in class_out {
+                failed_wave |= out.failed.is_some();
+                outcomes[g] = Some(out);
             }
         }
         if failed_wave {
@@ -753,17 +672,13 @@ fn run_waves(
     outcomes
 }
 
-/// Apply one group end to end on the calling thread: retry with backoff
-/// under the policy, isolate per batch when a multi-batch group keeps
-/// failing, quarantine poison, or report a fail-stop error.
-fn execute_group(
-    pipe: &Pipeline,
-    wh: &Warehouse,
-    group: &[RunBatch],
-    arena: &[u8],
-    mark: AppliedMark,
-    ranged: bool,
-) -> GroupOutcome {
+/// Apply group `g` of `run` end to end on the calling thread, marking its
+/// sequence range applied: retry with backoff under the policy, isolate
+/// per batch when a multi-batch group keeps failing, quarantine poison,
+/// or report a fail-stop error.
+fn execute_group(pipe: &Pipeline, wh: &Warehouse, run: &RunShared, g: usize) -> GroupOutcome {
+    let (group, arena) = (&run.batches[run.groups[g].batches.clone()], &run.arena);
+    let mark = AppliedMark::Range(run.groups[g].first_seq, run.groups[g].last_seq);
     let mut out = GroupOutcome::empty();
     // Deterministic injected stall (watchdog torture): sleep once per
     // planned group, before the apply, so the wave's deadline fires while
@@ -783,16 +698,11 @@ fn execute_group(
             // Isolate the poison: re-apply the group one batch at a time
             // so only the bad batch is quarantined.
             for batch in group {
-                let single_mark = if ranged {
-                    AppliedMark::Range(batch.0, batch.0)
-                } else {
-                    AppliedMark::Watermark(batch.0)
-                };
                 match apply_with_retry(
                     pipe,
                     wh,
                     std::slice::from_ref(batch),
-                    single_mark,
+                    AppliedMark::Range(batch.0, batch.0),
                     &mut out.retries,
                 ) {
                     Ok(applied) => {

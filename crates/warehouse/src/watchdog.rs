@@ -4,10 +4,10 @@
 //! plan, a filesystem hiccup. Without a deadline the whole sync waits on
 //! it forever, and the queue's unacked suffix (and the source's disk
 //! budget) grows without bound. The watchdog bounds the damage: when a
-//! parallel wave misses its per-stage deadline, the scheduler stops
-//! waiting, flags the remaining workers to stand down at their next group
-//! boundary, and moves on. The stalled groups simply never complete, so
-//! the prefix ack stops before them and the next `sync` redelivers them —
+//! wave misses its per-stage deadline, the scheduler stops waiting, flags
+//! the remaining workers to stand down at their next group boundary, and
+//! ends the sync. The stalled groups simply never complete, so the prefix
+//! ack stops before them and the next `sync` redelivers them —
 //! the ordinary at-least-once retry path, now also covering "stuck", not
 //! just "crashed".
 //!

@@ -261,38 +261,83 @@ fn parallel_sync_matches_sequential_under_faults_seed_1234() {
     assert_equivalent("f1234", Some(NetFaultPlan::lossy(1234)), 1234);
 }
 
-#[test]
-fn parallel_sync_matches_sequential_with_poison_quarantine() {
+/// A batch that fails on every attempt and must be quarantined.
+#[derive(Clone, Copy, Debug)]
+enum Poison {
+    /// An Op-Delta against a table with no mirror, followed by more
+    /// Op-Delta barriers.
+    Op,
+    /// A value delta for a table with no mirror, followed by value deltas
+    /// only: no barrier ever jumps the watermark over it.
+    Value,
+}
+
+/// Drain a stream with one poison batch mid-stream through a 1-worker and
+/// a 4-worker pipeline: both park exactly the poison batch, converge to the
+/// same state, and fold the watermark over the quarantined sequence.
+fn assert_poison_equivalent(kind: Poison) {
     let mut dumps = Vec::new();
     for (tag, workers) in [("seq", 1), ("par", 4)] {
-        let wh = warehouse(&format!("poison-{tag}"));
-        let pipe = Pipeline::open(qpath(&format!("poison-{tag}")))
+        let label = format!("poison-{kind:?}-{tag}");
+        let wh = warehouse(&label);
+        let pipe = Pipeline::open(qpath(&label))
             .unwrap()
             .with_batch_size(6)
             .with_retry(RetryPolicy::quick(2))
             .unwrap()
             .with_sync_workers(workers);
         let mut total = publish_workload(&pipe, 99, 4, 0);
-        // Poison: an op against a table with no mirror always fails and
-        // must land in the parking lot without stalling later batches.
-        pipe.publish(&DeltaBatch::Op(OpDelta {
-            txn: 1000,
-            ops: vec![OpLogRecord {
-                seq: 1000,
+        let poison = match kind {
+            Poison::Op => DeltaBatch::Op(OpDelta {
                 txn: 1000,
-                statement: parse_statement("INSERT INTO missing VALUES (1, 2, 3)").unwrap(),
-                before_image: None,
-            }],
-        }))
-        .unwrap();
+                ops: vec![OpLogRecord {
+                    seq: 1000,
+                    txn: 1000,
+                    statement: parse_statement("INSERT INTO missing VALUES (1, 2, 3)").unwrap(),
+                    before_image: None,
+                }],
+            }),
+            Poison::Value => {
+                let mut vd = ValueDelta::new("missing", schema());
+                vd.records.push(record(DeltaOp::Insert, 1, 2, 3));
+                DeltaBatch::Value(vd)
+            }
+        };
+        // The poison always fails and must land in the parking lot without
+        // stalling later batches.
+        pipe.publish(&poison).unwrap();
         total += 1;
-        total += publish_workload(&pipe, 77, 4, 100_000);
+        // Two rounds publish no Op-Delta barrier; four publish one.
+        let rounds = match kind {
+            Poison::Op => 4,
+            Poison::Value => 2,
+        };
+        total += publish_workload(&pipe, 77, rounds, 100_000);
         drain(&pipe, &wh, total);
         let parked = pipe.quarantined().unwrap();
         assert_eq!(parked.len(), 1, "{tag}: exactly the poison batch parked");
+        assert_eq!(
+            wh.applied_watermark().unwrap(),
+            Some(total - 1),
+            "{tag}: watermark folds over the quarantined sequence"
+        );
+        assert!(
+            wh.applied_state().unwrap().ranges.is_empty(),
+            "{tag}: no range rows left behind"
+        );
         dumps.push((dump(&wh), parked[0].index, parked[0].error.clone()));
     }
     assert_eq!(dumps[0], dumps[1], "quarantine path diverged");
+}
+
+#[test]
+fn parallel_sync_matches_sequential_with_poison_quarantine() {
+    assert_poison_equivalent(Poison::Op);
+}
+
+#[test]
+fn parallel_sync_matches_sequential_with_value_poison_quarantine() {
+    assert_poison_equivalent(Poison::Value);
 }
 
 #[test]
